@@ -3,8 +3,8 @@
 Runs a sweep with a checkpoint AND a durable content-addressed result
 store while seeded disk faults (ENOSPC mid-write, torn writes) are
 injected at every durable-write site, SIGKILLs the process in the
-worst-possible window (after a checkpoint temp file is fsynced, before
-the rename), and asserts the durability contract:
+worst-possible window (after a store entry's temp file is fsynced,
+before the rename), and asserts the durability contract:
 
 * the interrupted run dies by SIGKILL, never by traceback -- injected
   disk failures degrade to recorded events while the sweep runs;
@@ -39,9 +39,9 @@ DISK_FAULTS = {
     "REPRO_DISK_FAULTS_ENOSPC_P": "0.15",
     "REPRO_DISK_FAULTS_TORN_P": "0.15",
     # Seed 1: the first store put tears (silent corruption for the
-    # read-side checksum and fsck to catch) and the checkpoint site
-    # completes two temp writes early, so the crash hook below fires
-    # mid-sweep deterministically.
+    # read-side checksum and fsck to catch) and the store site completes
+    # two temp writes early, so the crash hook below fires mid-sweep
+    # deterministically.
     "REPRO_DISK_FAULTS_SEED": "1",
 }
 
@@ -71,14 +71,14 @@ def main() -> int:
     assert baseline["failures"] == []
     baseline.pop("telemetry")
 
-    print("== chaos run: disk faults + SIGKILL mid-checkpoint-flush ==",
+    print("== chaos run: disk faults + SIGKILL mid-store-write ==",
           flush=True)
     chaos_env = {
         **os.environ, **DISK_FAULTS,
-        # Die after the 2nd checkpoint temp file is fsynced, before its
-        # rename: the previous checkpoint must survive, the temp must
+        # Die after the 2nd store temp file is fsynced, before its
+        # rename: the entries before it must survive, the temp must
         # strand, and the next startup sweep must collect it.
-        "REPRO_DISKIO_CRASH_AFTER_TMP": "checkpoint:2",
+        "REPRO_DISKIO_CRASH_AFTER_TMP": "store:2",
     }
     crashed = run(
         ["sweep", *CONFIGS, "--checkpoint", checkpoint, "--store", store],
@@ -91,7 +91,7 @@ def main() -> int:
     assert "Traceback" not in crashed.stderr, crashed.stderr[-2000:]
     stranded = find_orphans(workdir)
     print(f"crash window left {len(stranded)} stranded temp(s)", flush=True)
-    assert stranded, "the crash window must strand the checkpoint temp"
+    assert stranded, "the crash window must strand the store temp"
 
     print("== resume under the same disk faults ==", flush=True)
     resume_env = {**os.environ, **DISK_FAULTS}

@@ -23,8 +23,8 @@ Commands
 [--isolation {thread,process}] [--json]``
     Run a resilient (configuration x workload) sweep: failed cells
     degrade to recorded gaps (retried up to ``--max-retries`` times with
-    backoff, killed after ``--timeout`` seconds each), the result caches
-    persist to ``--checkpoint`` after every executed run, and
+    backoff, killed after ``--timeout`` seconds each), every executed
+    cell is appended to the ``--checkpoint`` journal as it completes, and
     ``--resume`` preloads a matching checkpoint so only missing cells
     execute.  ``--workers N`` with ``--isolation process`` (implied for
     N > 1) runs cells in parallel supervised worker processes: hung
@@ -406,7 +406,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if old_sigterm is not None:
             signal.signal(signal.SIGTERM, old_sigterm)
-    saved = runner.save_checkpoint()
+    runner.save_checkpoint()
     failures = list(runner.failures.values())
     if interrupted:
         hint = (
@@ -455,7 +455,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(failure_table(failures))
         print(runner.telemetry.cache_summary())
         if args.checkpoint:
-            print(f"checkpoint: {args.checkpoint} ({saved} entries)")
+            print(f"checkpoint: {args.checkpoint}")
     return 3 if failures else 0
 
 
@@ -1122,7 +1122,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_sweep.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist result caches here after every executed run",
+        help="append every executed cell to this checkpoint journal",
     )
     p_sweep.add_argument(
         "--resume", action="store_true",
@@ -1200,7 +1200,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_serve.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist result caches here after every served job",
+        help="append every executed job's cell to this checkpoint journal",
     )
     p_serve.add_argument(
         "--resume", action="store_true",
@@ -1399,7 +1399,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_coord.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist the authoritative result caches here",
+        help="journal the authoritative results here",
     )
     p_coord.add_argument(
         "--resume", action="store_true",
@@ -1488,7 +1488,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_node.add_argument(
         "--checkpoint", metavar="PATH",
-        help="persist this node's result caches here",
+        help="journal this node's results here",
     )
     p_node.add_argument(
         "--resume", action="store_true",

@@ -29,10 +29,10 @@ methods (``cpu_run`` etc.) but degrades to a recorded gap (``None`` cell,
 inside ``cpu_sweep``/``gpu_sweep``/``dvfs_cell`` -- unless the policy says
 ``fail_fast``.
 
-Attach a checkpoint path to persist the caches across interruptions:
-results are saved (versioned JSON, integrity-hashed, keyed on the
-settings fingerprint) after every executed run, and ``resume=True``
-preloads them so a rerun executes only the missing cells.
+Attach a checkpoint path to persist results across interruptions: every
+executed cell appends one checksummed record, keyed on the settings
+fingerprint, to an append-only journal (:mod:`repro.resilience.checkpoint`),
+and ``resume=True`` replays it so a rerun executes only the missing cells.
 
 Isolation and parallelism
 -------------------------
@@ -43,7 +43,7 @@ missing cells through the supervised multiprocessing executor
 (:mod:`repro.resilience.pool`): each attempt runs in its own worker
 process, hung attempts are SIGKILLed at the policy timeout (no zombie
 CPU burners), and a hard worker crash costs one cell attempt instead of
-the sweep.  Results stream back and merge into the caches/checkpoint as
+the sweep.  Results stream back and merge into the caches/journal as
 they complete, but the returned mapping is always in deterministic cell
 order, so serial and parallel sweeps produce byte-identical reports.
 """
@@ -162,8 +162,8 @@ class SweepRunner:
 
     ``policy`` sets the per-run guard budget (timeout, retries, backoff,
     fail-fast); ``checkpoint`` (a path or :class:`SweepCheckpoint`)
-    persists the caches after every executed run, and ``resume=True``
-    preloads whatever a matching checkpoint already holds.
+    journals every executed run, and ``resume=True`` preloads whatever a
+    matching checkpoint already holds.
 
     ``store`` (a path or :class:`~repro.store.cas.ResultStore`; default
     from ``REPRO_STORE``) plugs in the durable content-addressed result
@@ -202,8 +202,10 @@ class SweepRunner:
         self.failures: "dict[tuple, RunFailure]" = {}
         #: Serialises cache/failure/telemetry/checkpoint mutations so the
         #: job service can run concurrent dispatcher threads against one
-        #: runner.  Reentrant: merge paths flush the checkpoint inline.
+        #: runner.  Reentrant: merge paths journal the cell inline.
         self._lock = threading.RLock()
+        #: The gap last journaled per cell (see :meth:`save_checkpoint`).
+        self._journaled_gaps: "dict[tuple, RunFailure]" = {}
         #: In-flight process pools, abortable via :meth:`abort_active_pools`.
         self._active_pools: set = set()
         self._zombie_warned = False
@@ -233,36 +235,46 @@ class SweepRunner:
         self.telemetry.record_checkpoint("entries_loaded", data.entries)
 
     def save_checkpoint(self) -> int:
-        """Persist the caches now; returns entries written (0 = no path).
+        """Journal the gaps recorded since the last flush; returns the
+        records written (0 = no path or nothing new).
 
-        A write failure (full disk, injected EIO/ENOSPC, ...) degrades
-        to a recorded ``write_failed`` event: losing one flush costs
-        re-execution on resume, never the sweep in progress.
+        Executed cells journal themselves as they complete, so this is
+        the flush for gaps alone (end of sweep, drain, SIGTERM).
         """
         if self.checkpoint is None:
             return 0
         with self._lock:
-            try:
-                count = self.checkpoint.save(
-                    self.settings.fingerprint(),
-                    {
-                        "cpu": self._cpu_cache,
-                        "gpu": self._gpu_cache,
-                        "dvfs": self._dvfs_cache,
-                    },
-                    list(self.failures.values()),
-                )
-            except OSError as exc:
-                self.telemetry.record_checkpoint("write_failed")
-                get_event_log().emit(
-                    "checkpoint.write_failed", error=str(exc),
-                )
+            pending = [
+                failure for cell, failure in self.failures.items()
+                if self._journaled_gaps.get(cell) is not failure
+            ]
+            if not pending:
                 return 0
-            self.telemetry.record_checkpoint("save")
-            get_event_log().emit(
-                "checkpoint.flush", entries=count,
-                failures=len(self.failures),
+            count = self._journal({}, pending)
+            if count:
+                for failure in pending:
+                    self._journaled_gaps[failure.cell] = failure
+        return count
+
+    def _journal(self, caches: "dict[str, dict]", failures) -> int:
+        """Append records to the checkpoint journal; returns the count.
+
+        A write failure (full disk, injected EIO/ENOSPC, ...) degrades
+        to a recorded ``write_failed`` event: losing one record costs
+        re-execution on resume, never the sweep in progress.
+        """
+        try:
+            count = self.checkpoint.save(
+                self.settings.fingerprint(), caches, failures
             )
+        except OSError as exc:
+            self.telemetry.record_checkpoint("write_failed")
+            get_event_log().emit("checkpoint.write_failed", error=str(exc))
+            return 0
+        self.telemetry.record_checkpoint("save")
+        get_event_log().emit(
+            "checkpoint.flush", entries=count, failures=len(failures),
+        )
         return count
 
     # -- durable result store ------------------------------------------
@@ -284,6 +296,20 @@ class SweepRunner:
             return None
         self.telemetry.record_store("hits")
         return result
+
+    def _commit(self, run_kind: str, key: tuple, result, wall_s: float) -> None:
+        """Adopt one executed cell: cache it, clear its gap, account it,
+        and persist it through the store and the checkpoint journal."""
+        with self._lock:
+            self._cache_for(run_kind)[key] = result
+            self.failures.pop((run_kind, *key), None)
+            self.telemetry.record_run(
+                run_kind, key[0], key[1], wall_s,
+                self._instructions_of(run_kind, result), cached=False,
+            )
+            self._store_put(run_kind, key, result)
+            if self.checkpoint is not None:
+                self._journal({run_kind: {key: result}}, ())
 
     def _store_put(self, run_kind: str, key: tuple, result) -> None:
         """Best-effort durable write-back of one executed cell."""
@@ -310,7 +336,8 @@ class SweepRunner:
         Returns None when neither the in-memory cache nor the store has
         it.  A store hit is promoted into the memory cache, so callers
         (the fabric coordinator's pre-pass, the job service) can keep
-        reading the caches directly afterwards.
+        reading the caches directly afterwards, and supersedes any gap
+        recorded for the cell.
         """
         cache = self._cache_for(run_kind)
         if key in cache:
@@ -319,7 +346,19 @@ class SweepRunner:
         if stored is not None:
             with self._lock:
                 cache[key] = stored
+                self.failures.pop((run_kind, *key), None)
         return stored
+
+    def _cached_hit(self, run_kind: str, key: tuple):
+        """:meth:`lookup_cached` plus hit accounting; None on a miss."""
+        result = self.lookup_cached(run_kind, key)
+        if result is not None:
+            with self._lock:
+                self.telemetry.record_run(
+                    run_kind, key[0], key[1], 0.0,
+                    self._instructions_of(run_kind, result), cached=True,
+                )
+        return result
 
     # -- guarded execution ---------------------------------------------
     def _validated(self, run_kind: str, config_name: str, workload: str):
@@ -351,17 +390,14 @@ class SweepRunner:
     def _record_validation_failure(
         self, run_kind: str, config: str, workload: str, kind: str, exc: Exception
     ) -> None:
-        failure = RunFailure(
+        self.record_gap(RunFailure(
             run_kind=run_kind,
             config=config,
             workload=workload,
             kind=kind,
             attempts=0,
             message=str(exc).strip('"'),
-        )
-        with self._lock:
-            self.failures[failure.cell] = failure
-            self.telemetry.record_failure(failure)
+        ))
 
     def _execute(self, run_kind: str, key: tuple, fn: Callable[[], object]):
         """One execution attempt, routed through the fault injector."""
@@ -393,87 +429,41 @@ class SweepRunner:
                 stacklevel=3,
             )
 
-    def _guarded(
-        self,
-        run_kind: str,
-        key: tuple,
-        cache: dict,
-        fn: Callable[[], object],
-        config_name: str,
-        workload: str,
-        instructions_of: Callable[[object], int],
-        extra: tuple = (),
-    ):
+    def _guarded(self, run_kind: str, key: tuple, fn: Callable[[], object]):
         """Cache lookup + guarded execution for one sweep cell."""
-        cached = key in cache
-        if not cached:
-            stored = self._store_fetch(run_kind, key)
-            if stored is not None:
-                with self._lock:
-                    cache[key] = stored
-                    # A durably stored success supersedes any recorded gap.
-                    self.failures.pop(
-                        (run_kind, config_name, workload, *extra), None
-                    )
-                    self.telemetry.record_run(
-                        run_kind, config_name, workload, 0.0,
-                        instructions_of(stored), cached=True,
-                    )
-                return stored
-            elog = get_event_log()
+        cached = self._cached_hit(run_kind, key)
+        if cached is not None:
+            return cached
+        config_name, workload, *extra = key
+        elog = get_event_log()
 
-            def on_retry(attempt: int, kind: str) -> None:
-                self.telemetry.record_retry(run_kind, kind)
-                elog.emit(
-                    "guard.retry", run_kind=run_kind, config=config_name,
-                    workload=workload, attempt=attempt, failure_kind=kind,
-                )
-
-            with elog.span(
-                "cell.attempt", run_kind=run_kind, config=config_name,
-                workload=workload,
-            ):
-                outcome = run_guarded(
-                    lambda: self._execute(run_kind, key, fn),
-                    policy=self.policy,
-                    run_kind=run_kind,
-                    config=config_name,
-                    workload=workload,
-                    extra=extra,
-                    validate=lambda result: validate_result(run_kind, result),
-                    on_retry=on_retry,
-                )
-            self._note_zombies()
-            if outcome.failure is not None:
-                with self._lock:
-                    self.failures[outcome.failure.cell] = outcome.failure
-                    self.telemetry.record_failure(outcome.failure)
-                raise SweepError(outcome.failure)
-            with self._lock:
-                cache[key] = outcome.result
-                # A fresh success supersedes any gap recorded for this cell.
-                self.failures.pop(
-                    (run_kind, config_name, workload, *extra), None
-                )
-                self.telemetry.record_run(
-                    run_kind,
-                    config_name,
-                    workload,
-                    outcome.wall_s,
-                    instructions_of(outcome.result),
-                    cached=False,
-                )
-                self._store_put(run_kind, key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
-            return outcome.result
-        result = cache[key]
-        with self._lock:
-            self.telemetry.record_run(
-                run_kind, config_name, workload, 0.0,
-                instructions_of(result), cached=True,
+        def on_retry(attempt: int, kind: str) -> None:
+            self.telemetry.record_retry(run_kind, kind)
+            elog.emit(
+                "guard.retry", run_kind=run_kind, config=config_name,
+                workload=workload, attempt=attempt, failure_kind=kind,
             )
-        return result
+
+        with elog.span(
+            "cell.attempt", run_kind=run_kind, config=config_name,
+            workload=workload,
+        ):
+            outcome = run_guarded(
+                lambda: self._execute(run_kind, key, fn),
+                policy=self.policy,
+                run_kind=run_kind,
+                config=config_name,
+                workload=workload,
+                extra=tuple(extra),
+                validate=lambda result: validate_result(run_kind, result),
+                on_retry=on_retry,
+            )
+        self._note_zombies()
+        if outcome.failure is not None:
+            self.record_gap(outcome.failure)
+            raise SweepError(outcome.failure)
+        self._commit(run_kind, key, outcome.result, outcome.wall_s)
+        return outcome.result
 
     # -- strict per-cell API -------------------------------------------
     def dvfs_run(
@@ -495,16 +485,7 @@ class SweepRunner:
                 warmup=self.settings.warmup,
             )
 
-        return self._guarded(
-            "dvfs",
-            key,
-            self._dvfs_cache,
-            execute,
-            config_name,
-            app,
-            lambda r: r.core.committed,
-            extra=(freq_ghz, variation),
-        )
+        return self._guarded("dvfs", key, execute)
 
     def cpu_run(self, config_name: str, app: str) -> CpuRunResult:
         design = self._validated("cpu", config_name, app)
@@ -518,15 +499,7 @@ class SweepRunner:
                 warmup=self.settings.warmup,
             )
 
-        return self._guarded(
-            "cpu",
-            key,
-            self._cpu_cache,
-            execute,
-            config_name,
-            app,
-            lambda r: r.core.committed,
-        )
+        return self._guarded("cpu", key, execute)
 
     def gpu_run(self, config_name: str, kernel: str) -> GpuRunResult:
         design = self._validated("gpu", config_name, kernel)
@@ -535,15 +508,7 @@ class SweepRunner:
         def execute() -> GpuRunResult:
             return simulate_gpu(design, kernel)
 
-        return self._guarded(
-            "gpu",
-            key,
-            self._gpu_cache,
-            execute,
-            config_name,
-            kernel,
-            lambda r: r.gpu.cu_result.instructions,
-        )
+        return self._guarded("gpu", key, execute)
 
     # -- gap-tolerant API ----------------------------------------------
     def _cell(self, fn: Callable[[], object]):
@@ -604,8 +569,9 @@ class SweepRunner:
         raise ValueError(f"unknown run kind {run_kind!r}")
 
     def record_gap(self, failure: RunFailure) -> None:
-        """Record an externally decided gap (e.g. a shed or drained job)
-        in the failure taxonomy, telemetry, and the next checkpoint flush."""
+        """Record a gap (a failed cell, or an externally decided one such
+        as a shed or drained job) in the failure taxonomy, telemetry, and
+        the next checkpoint flush."""
         with self._lock:
             self.failures[failure.cell] = failure
             self.telemetry.record_failure(failure)
@@ -620,35 +586,17 @@ class SweepRunner:
         batch-computed cell is then *replayed* through exactly the
         per-cell guard path the serial sweep uses -- fault injector,
         ``validate_result`` self-check, retry/backoff budget, failure
-        taxonomy, store write-back, incremental checkpoint flush -- so
+        taxonomy, store write-back, checkpoint journal append -- so
         batched and unbatched sweeps produce byte-identical result
         mappings and failure records.  A cell whose engine run raised
         re-raises inside its own replay: the guard degrades it to a
         recorded gap for that cell only, its batch siblings keep their
         results.
         """
-        cache = self._cache_for(run_kind)
         todo: "list[tuple]" = []  # (key, config, workload, extra, design)
         for config_name, workload, extra in cells:
             key = (config_name, workload, *extra)
-            if key not in cache:
-                stored = self._store_fetch(run_kind, key)
-                if stored is not None:
-                    with self._lock:
-                        cache[key] = stored
-                        self.failures.pop(
-                            (run_kind, config_name, workload, *extra), None
-                        )
-            if key in cache:
-                with self._lock:
-                    self.telemetry.record_run(
-                        run_kind,
-                        config_name,
-                        workload,
-                        0.0,
-                        self._instructions_of(run_kind, cache[key]),
-                        cached=True,
-                    )
+            if self._cached_hit(run_kind, key) is not None:
                 continue
             try:
                 design = self._validated(run_kind, config_name, workload)
@@ -708,34 +656,18 @@ class SweepRunner:
                 )
             self._note_zombies()
             if outcome.failure is not None:
-                with self._lock:
-                    self.failures[outcome.failure.cell] = outcome.failure
-                    self.telemetry.record_failure(outcome.failure)
+                self.record_gap(outcome.failure)
                 if self.policy.fail_fast:
                     raise SweepError(outcome.failure)
                 continue
-            with self._lock:
-                cache[key] = outcome.result
-                self.failures.pop(
-                    (run_kind, config_name, workload, *extra), None
-                )
-                n = self._instructions_of(run_kind, outcome.result)
-                instructions += n
-                if run_kind == "gpu":
-                    cycles += outcome.result.gpu.cu_result.cycles
-                else:
-                    cycles += outcome.result.core.cycles
-                self.telemetry.record_run(
-                    run_kind,
-                    config_name,
-                    workload,
-                    per_cell_wall + outcome.wall_s,
-                    n,
-                    cached=False,
-                )
-                self._store_put(run_kind, key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
+            instructions += self._instructions_of(run_kind, outcome.result)
+            if run_kind == "gpu":
+                cycles += outcome.result.gpu.cu_result.cycles
+            else:
+                cycles += outcome.result.core.cycles
+            self._commit(
+                run_kind, key, outcome.result, per_cell_wall + outcome.wall_s
+            )
         with self._lock:
             self.telemetry.record_batch(
                 run_kind,
@@ -796,35 +728,17 @@ class SweepRunner:
         """Execute the non-cached cells of a sweep in worker processes.
 
         ``cells`` is a list of (config, workload, extra) coordinates.
-        Completed results stream back and merge into the cache (with an
-        incremental checkpoint flush each), failures into
+        Completed results stream back and merge into the cache (each
+        journaled to the checkpoint as it lands), failures into
         :attr:`failures` -- callers then assemble the returned mapping
         from the caches in deterministic cell order.
         """
         from repro.resilience.pool import CellTask, SweepPool
 
-        cache = self._cache_for(run_kind)
         tasks: "list[CellTask]" = []
         for config_name, workload, extra in cells:
             key = (config_name, workload, *extra)
-            if key not in cache:
-                stored = self._store_fetch(run_kind, key)
-                if stored is not None:
-                    with self._lock:
-                        cache[key] = stored
-                        self.failures.pop(
-                            (run_kind, config_name, workload, *extra), None
-                        )
-            if key in cache:
-                with self._lock:
-                    self.telemetry.record_run(
-                        run_kind,
-                        config_name,
-                        workload,
-                        0.0,
-                        self._instructions_of(run_kind, cache[key]),
-                        cached=True,
-                    )
+            if self._cached_hit(run_kind, key) is not None:
                 continue
             try:
                 self._validated(run_kind, config_name, workload)
@@ -876,27 +790,12 @@ class SweepRunner:
         :class:`SweepError` under a ``fail_fast`` policy (which aborts
         the emitting pool).
         """
-        cache = self._cache_for(run_kind)
-        with self._lock:
-            if outcome.ok:
-                cache[task.key] = outcome.result
-                self.failures.pop(task.cell, None)
-                self.telemetry.record_run(
-                    run_kind,
-                    task.config,
-                    task.workload,
-                    outcome.wall_s,
-                    self._instructions_of(run_kind, outcome.result),
-                    cached=False,
-                )
-                self._store_put(run_kind, task.key, outcome.result)
-                if self.checkpoint is not None:
-                    self.save_checkpoint()
-            else:
-                self.failures[outcome.failure.cell] = outcome.failure
-                self.telemetry.record_failure(outcome.failure)
-                if self.policy.fail_fast:
-                    raise SweepError(outcome.failure)
+        if outcome.ok:
+            self._commit(run_kind, task.key, outcome.result, outcome.wall_s)
+            return
+        self.record_gap(outcome.failure)
+        if self.policy.fail_fast:
+            raise SweepError(outcome.failure)
 
     def abort_active_pools(self) -> int:
         """Abort every in-flight :class:`SweepPool` (drain-deadline path);

@@ -57,11 +57,11 @@ from repro.fabric.protocol import (
 )
 from repro.obs.events import get_event_log
 from repro.resilience import diskio, faults
-from repro.resilience.checkpoint import _CODECS
 from repro.resilience.errors import RunFailure
 from repro.resilience.guard import GuardOutcome
 from repro.resilience.pool import CellTask
 from repro.serve.health import HealthSnapshot, write_health
+from repro.store.codecs import CODECS
 
 
 @dataclass
@@ -289,7 +289,7 @@ class FabricCoordinator:
         self.remaining.discard(cell)
         task = CellTask(run_kind, msg["config"], msg["workload"], extra)
         if msg.get("ok"):
-            _, decode = _CODECS[run_kind]
+            _, decode = CODECS[run_kind]
             outcome = GuardOutcome(
                 result=decode(msg["result"]),
                 failure=None,
@@ -645,13 +645,7 @@ class FabricCoordinator:
         for cell in self.cells:
             run_kind, config_name, workload = cell[0], cell[1], cell[2]
             key = (config_name, workload, *cell[3:])
-            cached = self.runner.lookup_cached(run_kind, key)
-            if cached is not None:
-                self.runner.telemetry.record_run(
-                    run_kind, config_name, workload, 0.0,
-                    self.runner._instructions_of(run_kind, cached),
-                    cached=True,
-                )
+            if self.runner._cached_hit(run_kind, key) is not None:
                 self.done.add(cell)
                 continue
             try:

@@ -44,11 +44,11 @@ from repro.fabric.protocol import (
 )
 from repro.obs.events import get_event_log
 from repro.resilience import faults
-from repro.resilience.checkpoint import _CODECS
 from repro.resilience.errors import RunFailure
 from repro.resilience.guard import GuardPolicy, stable_seed
 from repro.serve.queue import Job
 from repro.serve.service import TERMINAL_STATES, ServiceConfig, SimService
+from repro.store.codecs import CODECS
 
 
 @dataclass
@@ -255,7 +255,7 @@ class FabricNode:
             key = (spec["config"], spec["workload"], *extra)
             cached = self._service.runner._cache_for(run_kind).get(key)
             if record.status == "served" and cached is not None:
-                encode, _ = _CODECS[run_kind]
+                encode, _ = CODECS[run_kind]
                 message = self._result_message(
                     task_id, spec, ok=True, result=encode(cached)
                 )

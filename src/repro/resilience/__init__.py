@@ -11,8 +11,8 @@ point, not the sweep.  This package hardens
 * :mod:`repro.resilience.guard` -- per-run wall-clock timeouts and retry
   with exponential backoff + deterministic jitter (:class:`GuardPolicy`,
   :func:`run_guarded`);
-* :mod:`repro.resilience.checkpoint` -- versioned, integrity-hashed JSON
-  persistence of the runner caches keyed on a settings fingerprint, so
+* :mod:`repro.resilience.checkpoint` -- an append-only, checksummed
+  journal of executed cells and gaps keyed on a settings fingerprint, so
   interrupted sweeps resume with only the missing cells re-executed;
 * :mod:`repro.resilience.pool` / :mod:`repro.resilience.worker` -- the
   process-isolated parallel executor: each cell attempt runs in a
@@ -29,9 +29,10 @@ point, not the sweep.  This package hardens
   corrupted results, or hard-kill their own process at configurable
   probabilities, used to test this layer itself and exercised from CI;
 * :mod:`repro.resilience.diskio` -- the single crash-consistent write
-  path to disk (temp + fsync + rename + directory fsync, per-record
-  checksums with quarantine-on-corruption, orphaned-temp sweeps) used
-  by checkpoints, the result store, and every snapshot writer, with
+  path to disk (temp + fsync + rename + directory fsync, fsynced
+  single-write journal appends, per-record checksums with
+  quarantine-on-corruption, orphaned-temp sweeps) used by checkpoints,
+  the result store, and every snapshot writer, with
   seeded disk faults (``REPRO_DISK_FAULTS``) injected at this one
   choke point.
 
@@ -57,13 +58,7 @@ from repro.resilience.guard import (
     stable_seed,
     zombie_thread_count,
 )
-from repro.resilience.checkpoint import (
-    CHECKPOINT_VERSION,
-    CheckpointData,
-    CheckpointLock,
-    CheckpointLockTimeout,
-    SweepCheckpoint,
-)
+from repro.resilience.checkpoint import CheckpointData, SweepCheckpoint
 from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
 from repro.resilience.pool import CellTask, PoolAborted, SweepPool
 from repro.resilience.selfcheck import (
@@ -84,10 +79,7 @@ __all__ = [
     "run_guarded",
     "stable_seed",
     "zombie_thread_count",
-    "CHECKPOINT_VERSION",
     "CheckpointData",
-    "CheckpointLock",
-    "CheckpointLockTimeout",
     "SweepCheckpoint",
     "FaultInjector",
     "FaultPlan",

@@ -30,11 +30,18 @@ up), a torn write silently corrupts the record for the read-side
 checksum to catch, and a lost fsync skips durability while still
 "succeeding".
 
+Append-only journals (:func:`append_records`) are the one other write
+shape: each record is one checksum-enveloped JSON line, all of a call's
+lines go out in a single fsynced ``O_APPEND`` write, so concurrent
+appenders never interleave and need no lock, and a reader skips a torn
+line instead of losing the file.
+
 Chaos hook: ``REPRO_DISKIO_CRASH_AFTER_TMP=<site>:<n>`` SIGKILLs the
-process immediately after the *n*-th write at ``site`` has fsynced its
-temp file but before the rename -- the exact window a crash-consistent
-writer must leave harmless (the target is untouched; the temp is an
-orphan for the next startup sweep).
+process during the *n*-th write at ``site`` at its worst instant: for a
+replace, after the temp file is fsynced but before the rename (the
+target is untouched; the temp is an orphan for the next startup sweep);
+for an append, after part of the record has been written and fsynced
+(the journal keeps a torn tail for readers to skip).
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ _TMP_RE = re.compile(r"\.tmp\.(\d+)$")
 #: shows up in metrics snapshots and ``repro top``.
 _STATS = {
     "writes": 0,
+    "bytes_written": 0,
     "write_failures": 0,
     "reads": 0,
     "quarantined": 0,
@@ -106,17 +114,21 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def _maybe_crash_after_tmp(site: str) -> None:
+def _crash_due(site: str) -> bool:
+    """Count one write at ``site``; True when the chaos hook targets it."""
     spec = os.environ.get("REPRO_DISKIO_CRASH_AFTER_TMP", "")
     if not spec:
-        return
+        return False
     want, _, nth = spec.partition(":")
     if want != site:
-        return
+        return False
     count = _CRASH_COUNTS.get(site, 0) + 1
     _CRASH_COUNTS[site] = count
-    if count == int(nth or 1):
-        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
+    return count == int(nth or 1)
+
+
+def _crash() -> None:
+    os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
 
 
 def durable_write_text(path, text: str, *, site: str = "diskio") -> None:
@@ -165,7 +177,8 @@ def durable_write_text(path, text: str, *, site: str = "diskio") -> None:
             else:
                 handle.flush()
                 os.fsync(handle.fileno())
-        _maybe_crash_after_tmp(site)
+        if _crash_due(site):
+            _crash()
         os.replace(tmp, target)
         if fate != "lost_fsync":
             _fsync_dir(target.parent)
@@ -177,6 +190,7 @@ def durable_write_text(path, text: str, *, site: str = "diskio") -> None:
             pass
         raise
     _STATS["writes"] += 1
+    _STATS["bytes_written"] += len(data)
 
 
 def record_checksum(payload) -> str:
@@ -187,14 +201,88 @@ def record_checksum(payload) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _envelope(payload) -> dict:
+    return {"checksum": record_checksum(payload), "payload": payload}
+
+
 def write_record(path, payload: dict, *, site: str = "record") -> None:
     """Durably write ``payload`` wrapped in a checksum envelope."""
-    doc = {"checksum": record_checksum(payload), "payload": payload}
     durable_write_text(
         path,
-        json.dumps(doc, indent=1, sort_keys=True, default=str),
+        json.dumps(_envelope(payload), indent=1, sort_keys=True, default=str),
         site=site,
     )
+
+
+def append_records(path, payloads, *, site: str = "record",
+                   create: bool = False) -> None:
+    """Durably append one checksum-enveloped JSON line per payload.
+
+    All lines go out in one fsynced ``O_APPEND`` write.  A file whose
+    last line a dead writer tore is first closed off with a newline, so
+    a new record never fuses with the torn one (a concurrent append
+    still in flight can trigger this too; the blank line it leaves is
+    skipped by readers).  ``create=True`` starts
+    a new journal instead: the lines replace ``path`` through
+    :func:`durable_write_text`, so the file appears with its first
+    records already in it.  Raises ``OSError`` (real or injected); an
+    injected ENOSPC, like a real one, may leave a torn line behind.
+    """
+    text = "".join(
+        json.dumps(_envelope(p), sort_keys=True, separators=(",", ":"),
+                   default=str) + "\n"
+        for p in payloads
+    )
+    if create:
+        durable_write_text(path, text, site=site)
+        return
+    target = Path(path)
+    injector = faults.active_disk()
+    fate = injector.fate(site) if injector is not None else None
+    if fate == "eio":
+        _STATS["write_failures"] += 1
+        _emit("diskio.fault", site=site, kind="eio", path=str(target))
+        raise OSError(errno.EIO, f"injected EIO at {site}", str(target))
+    data = text.encode("utf-8")
+    try:
+        fd = os.open(target, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            if fate == "enospc":
+                os.write(fd, data[: len(data) // 2])
+                _emit("diskio.fault", site=site, kind="enospc",
+                      path=str(target))
+                raise OSError(
+                    errno.ENOSPC, f"injected ENOSPC at {site}", str(target)
+                )
+            crash = _crash_due(site)
+            if fate == "torn" or crash:
+                data = data[: max(len(data) // 2, 1)]
+                if fate == "torn":
+                    _emit("diskio.fault", site=site, kind="torn",
+                          path=str(target))
+            while data:
+                written = os.write(fd, data)
+                _STATS["bytes_written"] += written
+                data = data[written:]
+            if fate == "lost_fsync":
+                _STATS["fsync_skipped"] += 1
+                _emit("diskio.fault", site=site, kind="lost_fsync",
+                      path=str(target))
+            else:
+                os.fsync(fd)
+            if crash:
+                _crash()
+        finally:
+            os.close(fd)
+        if size == 0 and fate != "lost_fsync":
+            _fsync_dir(target.parent)
+    except OSError:
+        _STATS["write_failures"] += 1
+        raise
+    _STATS["writes"] += 1
 
 
 def quarantine_file(path, *, site: str = "record", reason: str = "corrupt"):

@@ -18,9 +18,9 @@ sweep.  :class:`SweepPool` removes both failure classes by running each
   seeded backoff schedule as the serial guard (the cell becomes eligible
   again after the backoff delay instead of blocking the supervisor);
 * **streamed results** -- each finished cell is reported through
-  ``on_result`` the moment it completes, so the caller can merge it into
-  the versioned checkpoint incrementally (a parent crash mid-sweep
-  resumes with only the gaps re-run);
+  ``on_result`` the moment it completes, so the caller can append it to
+  the checkpoint journal (a parent crash mid-sweep resumes with only the
+  gaps re-run);
 * **deterministic order** -- :meth:`SweepPool.run` returns outcomes in
   task-submission order regardless of completion order, so serial and
   parallel sweeps produce byte-identical reports.

@@ -19,8 +19,8 @@ repeated faults, and termination:
   ``follow`` tail mode -- no network required), degraded-mode fallback
   from process to thread isolation when worker spawn keeps failing, and
   graceful shutdown: SIGTERM/SIGINT stops admissions, drains in-flight
-  workers within a deadline, flushes the checkpoint, and reports
-  unfinished jobs as gaps;
+  workers within a deadline, and reports unfinished jobs as gaps
+  journaled to the checkpoint;
 * :mod:`repro.serve.health` -- liveness/readiness snapshots (queue
   depth, breaker states, shed/served counters) written atomically to a
   health file and dumped by ``repro serve --health``;
@@ -36,9 +36,10 @@ repeated faults, and termination:
 
 Everything executes through the existing
 :class:`~repro.experiments.runner.SweepRunner`, so served jobs share the
-result caches, checkpoint persistence, telemetry counters, and failure
-taxonomy with batch sweeps -- a job service restart resumes from the
-same checkpoint a sweep would.
+result caches, the checkpoint journal (each executed cell appended as
+it completes), telemetry counters, and failure taxonomy with batch
+sweeps -- a job service restart resumes from the same checkpoint a
+sweep would.
 """
 
 from repro.serve.breaker import (

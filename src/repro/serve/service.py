@@ -42,8 +42,8 @@ Robustness shapes
   :meth:`shutdown` then waits up to ``drain_deadline_s`` for in-flight
   jobs, aborts still-running worker pools past the deadline
   (:meth:`~repro.experiments.runner.SweepRunner.abort_active_pools`),
-  records every unfinished job as a ``shed`` gap, flushes the
-  checkpoint, and writes a final health snapshot.  A re-run against the
+  records every unfinished job as a ``shed`` gap, journals the gaps to
+  the checkpoint, and writes a final health snapshot.  A re-run against the
   same checkpoint serves only the gaps.
 
 Accounting invariant: every submitted job reaches exactly one terminal
@@ -786,9 +786,10 @@ class SimService:
         Admissions stop; queued-but-unstarted jobs become ``shed`` gaps
         (reason ``draining``); in-flight jobs get ``drain_deadline_s``
         to finish, after which their worker pools are aborted (SIGKILL +
-        reap) and they too become gaps.  The checkpoint is flushed and a
-        final health snapshot written before returning, so a subsequent
-        run against the same checkpoint serves exactly the gaps.
+        reap) and they too become gaps.  The gaps are journaled to the
+        checkpoint and a final health snapshot written before returning,
+        so a subsequent run against the same checkpoint serves exactly
+        the gaps.
         """
         deadline_s = (
             drain_deadline_s

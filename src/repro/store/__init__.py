@@ -16,8 +16,8 @@ from disk without touching a cycle engine.  ``repro store fsck`` and
 
 Only :mod:`repro.store.address` is imported eagerly -- it is pure
 hashing and safe everywhere (the trace cache keys through it at import
-time).  :class:`ResultStore` pulls in the checkpoint codecs, so it is
-exported lazily to keep low-level modules importable without dragging
+time).  :class:`ResultStore` pulls in the result codecs
+(:mod:`repro.store.codecs`), so it is exported lazily to keep low-level modules importable without dragging
 in the simulation stack.
 """
 

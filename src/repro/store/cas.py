@@ -28,17 +28,13 @@ import os
 from pathlib import Path
 
 from repro.resilience import diskio
-from repro.resilience.checkpoint import _CODECS
 from repro.store.address import content_address
-
-#: Bump when the entry payload layout changes; mismatches read as misses.
-ENTRY_SCHEMA = 1
-
-
-def current_sim_version() -> str:
-    from repro import __version__
-
-    return __version__
+from repro.store.codecs import (
+    CODECS,
+    ENTRY_SCHEMA,
+    current_sim_version,
+    entry_payload,
+)
 
 
 class ResultStore:
@@ -110,7 +106,7 @@ class ResultStore:
             self.counters["misses"] += 1
             return None
         try:
-            result = _CODECS[run_kind][1](payload["result"])
+            result = CODECS[run_kind][1](payload["result"])
         except Exception:
             # Checksum held but the body is not a decodable result --
             # a foreign or stale-layout object squatting on the address.
@@ -130,19 +126,10 @@ class ResultStore:
         """
         digest = self.address(fingerprint, run_kind, config, workload,
                               extra, seed)
-        payload = {
-            "schema": ENTRY_SCHEMA,
-            "run_kind": run_kind,
-            "sim_version": self.sim_version,
-            "cell": {
-                "fingerprint": fingerprint,
-                "config": config,
-                "workload": workload,
-                "extra": list(extra),
-                "seed": seed,
-            },
-            "result": _CODECS[run_kind][0](result),
-        }
+        payload = entry_payload(
+            fingerprint, run_kind, config, workload, extra, result,
+            sim_version=self.sim_version, seed=seed,
+        )
         diskio.write_record(self._path(digest), payload, site="store")
         self.counters["puts"] += 1
         return digest

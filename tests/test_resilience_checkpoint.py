@@ -1,4 +1,4 @@
-"""Checkpoint round-trips, invalidation, and fail-soft loading."""
+"""Checkpoint journal round-trips, invalidation, and fail-soft loading."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import pytest
 
 from repro.experiments.runner import SweepRunner, SweepSettings
 from repro.resilience import (
-    CHECKPOINT_VERSION,
     FaultInjector,
     FaultPlan,
     SweepCheckpoint,
 )
-from repro.resilience import faults
-from repro.resilience.checkpoint import (
-    _digest,
+from repro.resilience import diskio, faults
+from repro.store.codecs import (
+    ENTRY_SCHEMA,
     decode_cpu_result,
     decode_gpu_result,
     encode_cpu_result,
@@ -71,9 +70,11 @@ def test_missing_and_corrupted_files_load_as_misses(ck_path):
     assert SweepCheckpoint(ck_path).load(fingerprint) is None  # missing
 
     ck_path.write_text("this is not json{{{")
-    assert SweepCheckpoint(ck_path).load(fingerprint) is None
+    with pytest.warns(RuntimeWarning, match="no readable record"):
+        assert SweepCheckpoint(ck_path).load(fingerprint) is None
 
-    runner = make_runner(ck_path, resume=True)  # must not crash
+    with pytest.warns(RuntimeWarning, match="no readable record"):
+        runner = make_runner(ck_path, resume=True)  # must not crash
     assert runner.telemetry.checkpoint_counts() == {"invalid": 1}
     assert runner.cpu_run("BaseCMOS", "lu") is not None  # re-executes fine
 
@@ -104,21 +105,41 @@ def test_zero_byte_checkpoint_warns_and_loads_as_missing(ck_path):
 
 
 def test_tampered_payload_fails_integrity_check(ck_path):
-    make_runner(ck_path).cpu_run("BaseCMOS", "lu")
-    doc = json.loads(ck_path.read_text())
-    entry = doc["payload"]["entries"]["cpu"][0]
-    entry["result"]["time_s"] = 123.456  # bit-flip the measurement
-    ck_path.write_text(json.dumps(doc))
-    assert SweepCheckpoint(ck_path).load(SweepSettings(**SMALL).fingerprint()) is None
+    runner = make_runner(ck_path)
+    runner.cpu_run("BaseCMOS", "lu")
+    runner.cpu_run("AdvHet", "lu")
+    first, second = ck_path.read_text().splitlines()
+    doc = json.loads(first)
+    doc["payload"]["result"]["time_s"] = 123.456  # bit-flip the measurement
+    ck_path.write_text(json.dumps(doc) + "\n" + second + "\n")
+    with pytest.warns(RuntimeWarning, match="1 damaged record"):
+        data = SweepCheckpoint(ck_path).load(SweepSettings(**SMALL).fingerprint())
+    assert list(data.cpu) == [("AdvHet", "lu")]  # only the intact record
 
 
 def test_version_mismatch_invalidates(ck_path):
     make_runner(ck_path).cpu_run("BaseCMOS", "lu")
     doc = json.loads(ck_path.read_text())
-    doc["payload"]["version"] = CHECKPOINT_VERSION + 1
-    doc["integrity"] = _digest(doc["payload"])  # re-sign, still wrong version
-    ck_path.write_text(json.dumps(doc))
+    doc["payload"]["schema"] = ENTRY_SCHEMA + 1
+    doc["checksum"] = diskio.record_checksum(doc["payload"])  # re-sign
+    ck_path.write_text(json.dumps(doc) + "\n")
     assert SweepCheckpoint(ck_path).load(SweepSettings(**SMALL).fingerprint()) is None
+
+
+def test_pre_journal_checkpoint_warns_and_loads_as_missing(ck_path):
+    legacy = {"integrity": "0" * 64,
+              "payload": {"version": 1, "fingerprint": "f", "entries": {},
+                          "failures": []}}
+    ck_path.write_text(json.dumps(legacy, indent=1, sort_keys=True))
+    with pytest.warns(RuntimeWarning, match="pre-journal"):
+        runner = make_runner(ck_path, resume=True)
+    assert runner.telemetry.checkpoint_counts() == {"invalid": 1}
+    runner.cpu_run("BaseCMOS", "lu")
+    # The first record replaced the old document instead of extending it.
+    assert len(ck_path.read_text().splitlines()) == 1
+    assert make_runner(ck_path, resume=True).telemetry.checkpoint_counts() == {
+        "load": 1, "entries_loaded": 1,
+    }
 
 
 def test_settings_fingerprint_mismatch_invalidates(ck_path):
@@ -181,105 +202,86 @@ def test_resume_executes_only_missing_cells(ck_path):
 
 
 def test_checkpoint_saves_are_atomic_after_each_run(ck_path):
-    runner = make_runner(ck_path)
+    ck_path.write_text("a previous run's journal\n")
+    runner = make_runner(ck_path)  # no resume: a fresh journal
     runner.cpu_run("BaseCMOS", "lu")
-    first = json.loads(ck_path.read_text())
-    assert len(first["payload"]["entries"]["cpu"]) == 1
+    first = ck_path.read_text()
+    assert [json.loads(line)["payload"]["run_kind"]
+            for line in first.splitlines()] == ["cpu"]
     runner.gpu_run("BaseCMOS", "DCT")
-    second = json.loads(ck_path.read_text())
-    assert len(second["payload"]["entries"]["gpu"]) == 1
-    assert not ck_path.with_name(ck_path.name + ".tmp").exists()
+    second = ck_path.read_text()
+    assert second.startswith(first)  # appended, never rewritten
+    assert json.loads(second.splitlines()[1])["payload"]["run_kind"] == "gpu"
+    assert not [p for p in ck_path.parent.iterdir() if ".tmp." in p.name]
 
 
 # ---------------------------------------------------------------------
-# advisory write lock: stale takeover, contention, clean release
+# the append-only journal
 # ---------------------------------------------------------------------
 
-def _write_lock(path, pid, age_s=0.0):
-    import os as _os
-    import time as _time
-    path.write_text(json.dumps({"pid": pid, "acquired_at": _time.time() - age_s}))
-    _os.utime(path, (_time.time() - age_s,) * 2)
+def test_bytes_written_per_cell_do_not_grow_with_cells_done(ck_path):
+    runner = make_runner(ck_path)
+    written = []
+    for config in ("BaseCMOS", "BaseTFET", "BaseHet", "AdvHet", "AdvHet-2X"):
+        before = diskio.stats()["bytes_written"]
+        runner.cpu_run(config, "lu")
+        written.append(diskio.stats()["bytes_written"] - before)
+    # One record per cell: the fifth flush costs what the first did.
+    assert max(written) < 1.1 * min(written)
+    assert sum(written) == ck_path.stat().st_size
 
 
-def test_lock_acquire_release_round_trip(tmp_path):
-    from repro.resilience import CheckpointLock
-
-    lock = CheckpointLock(tmp_path / "ck.lock", timeout_s=1.0)
-    with lock:
-        body = json.loads((tmp_path / "ck.lock").read_text())
-        assert body["pid"] == __import__("os").getpid()
-        with pytest.raises(RuntimeError, match="already held"):
-            lock.acquire()
-    assert not (tmp_path / "ck.lock").exists()
-    assert lock.takeovers == 0
-
-
-def test_lock_takes_over_dead_owner(tmp_path):
-    import subprocess
-    import sys
-
-    from repro.resilience import CheckpointLock
-
-    # A PID that provably existed and is now dead (spawned and reaped).
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    lock_path = tmp_path / "ck.lock"
-    _write_lock(lock_path, proc.pid)  # fresh timestamp, dead owner
-
-    lock = CheckpointLock(lock_path, stale_s=3600.0, timeout_s=1.0)
-    lock.acquire()
-    assert lock.takeovers == 1
-    assert json.loads(lock_path.read_text())["pid"] != proc.pid
-    lock.release()
+def test_two_runners_sharing_a_checkpoint_both_resume_all_cells(ck_path):
+    a = make_runner(ck_path, resume=True)
+    b = make_runner(ck_path, resume=True)
+    a.cpu_run("BaseCMOS", "lu")
+    b.cpu_run("AdvHet", "lu")
+    a.gpu_run("BaseCMOS", "DCT")
+    b.dvfs_run("BaseCMOS", "lu", 2.0, False)
+    resumed = make_runner(ck_path, resume=True)
+    assert resumed.telemetry.checkpoint_counts() == {
+        "load": 1, "entries_loaded": 4,
+    }
 
 
-def test_lock_takes_over_aged_lock_even_with_live_owner(tmp_path):
-    from repro.resilience import CheckpointLock
+def test_torn_last_line_resumes_with_every_record_before_it(ck_path):
+    first = make_runner(ck_path)
+    first.cpu_run("BaseCMOS", "lu")
+    first.cpu_run("AdvHet", "lu")
+    intact, torn = ck_path.read_text().splitlines(keepends=True)
+    ck_path.write_text(intact + torn[: len(torn) // 2])  # died mid-append
 
-    lock_path = tmp_path / "ck.lock"
-    _write_lock(lock_path, __import__("os").getpid(), age_s=120.0)
-    lock = CheckpointLock(lock_path, stale_s=30.0, timeout_s=1.0, poll_s=0.01)
-    with lock:
-        assert lock.takeovers == 1
-
-
-def test_lock_takes_over_torn_body_via_mtime(tmp_path):
-    import os as _os
-    import time as _time
-
-    from repro.resilience import CheckpointLock
-
-    lock_path = tmp_path / "ck.lock"
-    lock_path.write_text("not json{{{")
-    _os.utime(lock_path, (_time.time() - 120.0,) * 2)
-    lock = CheckpointLock(lock_path, stale_s=30.0, timeout_s=1.0, poll_s=0.01)
-    with lock:
-        assert lock.takeovers == 1
+    with pytest.warns(RuntimeWarning, match="1 damaged record"):
+        resumed = make_runner(ck_path, resume=True)
+    assert resumed.telemetry.checkpoint_counts()["entries_loaded"] == 1
+    resumed.cpu_sweep(["BaseCMOS", "AdvHet"])
+    assert resumed.telemetry.cache_counts()["cpu"] == (1, 1)
+    # The re-executed cell starts its own line instead of fusing with
+    # the torn one, so the next resume has both.
+    with pytest.warns(RuntimeWarning, match="1 damaged record"):
+        again = make_runner(ck_path, resume=True)
+    assert again.telemetry.checkpoint_counts()["entries_loaded"] == 2
 
 
-def test_lock_contention_times_out_against_live_owner(tmp_path):
-    import subprocess
-    import sys
-    import time as _time
+def test_gap_then_later_success_for_the_cell_resolves_to_success(ck_path):
+    class KillCell:
+        def call(self, site, key, fn):
+            if key == ("AdvHet", "lu"):
+                raise RuntimeError("poisoned cell")
+            return fn()
 
-    from repro.resilience import CheckpointLock, CheckpointLockTimeout
+    a = make_runner(ck_path, resume=True)
+    b = make_runner(ck_path, resume=True)
+    faults.install(KillCell())
+    assert a.cpu_cell("BaseCMOS", "lu") is not None
+    assert a.cpu_cell("AdvHet", "lu") is None
+    assert a.save_checkpoint() == 1  # the gap is journaled
+    faults.reset()
+    assert b.cpu_cell("AdvHet", "lu") is not None  # a later success
 
-    holder = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
-    try:
-        lock_path = tmp_path / "ck.lock"
-        _write_lock(lock_path, holder.pid)
-        lock = CheckpointLock(
-            lock_path, stale_s=3600.0, timeout_s=0.3, poll_s=0.02
-        )
-        start = _time.monotonic()
-        with pytest.raises(CheckpointLockTimeout, match="live writer"):
-            lock.acquire()
-        assert _time.monotonic() - start < 5.0
-        assert lock.takeovers == 0
-    finally:
-        holder.kill()
-        holder.wait()
+    data = SweepCheckpoint(ck_path).load(SweepSettings(**SMALL).fingerprint())
+    assert sorted(data.cpu) == [("AdvHet", "lu"), ("BaseCMOS", "lu")]
+    assert data.failures == []
 
 
 def test_checkpoint_save_leaves_no_lock_behind(ck_path):
@@ -288,61 +290,14 @@ def test_checkpoint_save_leaves_no_lock_behind(ck_path):
     assert not ck_path.with_name(ck_path.name + ".lock").exists()
 
 
-def test_release_leaves_a_usurpers_lock_alone(tmp_path):
-    """Regression: a holder whose lock was stale-broken (e.g. suspended
-    past stale_s) must not unlink the contender's live lock on release."""
-    import os as _os
-    import time as _time
-
-    from repro.resilience import CheckpointLock
-
-    lock_path = tmp_path / "ck.lock"
-    lock = CheckpointLock(lock_path, timeout_s=1.0)
-    lock.acquire()
-    # Simulate a takeover while we were suspended: a contender broke our
-    # stale lock and wrote its own body (different token).
-    usurper = json.dumps(
-        {"pid": _os.getpid(), "acquired_at": _time.time(), "token": "theirs"}
-    )
-    lock_path.write_text(usurper)
-    lock.release()
-    assert lock_path.exists()
-    assert json.loads(lock_path.read_text())["token"] == "theirs"
-    # Idempotent: a second release stays a no-op.
-    lock.release()
-    assert lock_path.exists()
-
-
-def test_break_stale_skips_a_lock_that_changed_hands(tmp_path):
-    """Regression: between judging a lock stale and unlinking it, a
-    contender may have broken it first and re-created the lock; the
-    unlink must only remove the exact body that was judged stale."""
-    import time as _time
-
-    from repro.resilience import CheckpointLock
-
-    lock_path = tmp_path / "ck.lock"
-    _write_lock(lock_path, 1, age_s=120.0)  # aged body: stale
-    lock = CheckpointLock(lock_path, stale_s=30.0, timeout_s=1.0)
-    assert lock._is_stale()
-    fresh = json.dumps(
-        {"pid": 424242, "acquired_at": _time.time(), "token": "fresh"}
-    )
-    lock_path.write_text(fresh)  # the contender re-acquired first
-    lock._break_stale()
-    assert lock_path.exists()
-    assert json.loads(lock_path.read_text()) == json.loads(fresh)
-    assert lock.takeovers == 0
-
-
 # ---------------------------------------------------------------------
-# SIGKILL in the exact crash window: after temp fsync, before rename
+# SIGKILL in the exact crash window: part of a record on disk
 # ---------------------------------------------------------------------
 
 def test_sigkill_mid_checkpoint_flush_resumes_byte_identical(tmp_path):
-    """A writer killed between temp-file fsync and rename loses exactly
-    one flush: the previous checkpoint stays intact, the orphaned temp
-    is swept on the next startup, and the resumed sweep's report is
+    """A writer killed after writing part of a journal record loses
+    exactly that record: the records before it stay intact, the torn
+    tail is skipped on load, and the resumed sweep's report is
     byte-identical to an uninterrupted serial run."""
     import os as _os
     import subprocess
@@ -366,8 +321,8 @@ def test_sigkill_mid_checkpoint_flush_resumes_byte_identical(tmp_path):
 
     ck = tmp_path / "sweep.ckpt.json"
     chaos_env = dict(env)
-    # The 2nd checkpoint write at this site dies after its temp file is
-    # fsynced but before the rename -- the worst-possible instant.
+    # The 2nd checkpoint write at this site dies after part of its
+    # record reached the disk -- the worst-possible instant.
     chaos_env["REPRO_DISKIO_CRASH_AFTER_TMP"] = "checkpoint:2"
     crashed = subprocess.run(
         base + ["--checkpoint", str(ck)],
@@ -375,8 +330,9 @@ def test_sigkill_mid_checkpoint_flush_resumes_byte_identical(tmp_path):
     )
     assert crashed.returncode == -9  # SIGKILLed itself in the window
     assert ck.exists()  # flush 1 survived the crash of flush 2
-    orphans = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
-    assert orphans, "the crash window must strand the temp file"
+    torn = ck.read_text()
+    assert not torn.endswith("\n"), "the crash window must tear the tail"
+    assert len(torn.splitlines()) == 2
 
     resumed = subprocess.run(
         base + ["--checkpoint", str(ck), "--resume"],
@@ -392,5 +348,10 @@ def test_sigkill_mid_checkpoint_flush_resumes_byte_identical(tmp_path):
     assert json.dumps(report, sort_keys=True) == json.dumps(
         baseline, sort_keys=True
     )
-    # The resumed writer's startup sweep collected the stranded temp.
-    assert not [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
+    # The resumed writer's record starts past the torn tail, so the
+    # journal now replays both cells.
+    with pytest.warns(RuntimeWarning, match="1 damaged record"):
+        data = SweepCheckpoint(ck).load(
+            SweepSettings(instructions=2000, apps=["lu"]).fingerprint()
+        )
+    assert len(data.cpu) == 2

@@ -98,6 +98,81 @@ def test_torn_write_is_detected_on_read(tmp_path):
 
 
 # ---------------------------------------------------------------------
+# append-only journals
+# ---------------------------------------------------------------------
+
+def _journal_payloads(path):
+    # Blank lines are separators a reader skips: an appender that saw a
+    # concurrent write mid-flight closes off what it took for a torn tail.
+    docs = [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
+    assert all(d["checksum"] == diskio.record_checksum(d["payload"])
+               for d in docs)
+    return [d["payload"] for d in docs]
+
+
+def test_append_records_add_one_line_each_and_start_past_a_torn_tail(
+        tmp_path):
+    path = tmp_path / "journal.jsonl"
+    diskio.append_records(path, [{"n": 1}, {"n": 2}], site="t")
+    with open(path, "a") as handle:
+        handle.write('{"checksum": "dead')  # a writer died mid-record
+    diskio.append_records(path, [{"n": 3}], site="t")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4 and lines[2] == '{"checksum": "dead'
+    assert json.loads(lines[3])["payload"] == {"n": 3}
+
+
+def test_append_records_create_replaces_the_file(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    path.write_text("an older journal\n")
+    diskio.append_records(path, [{"n": 1}], site="t", create=True)
+    assert _journal_payloads(path) == [{"n": 1}]
+    assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+
+
+def test_injected_faults_on_append(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    diskio.append_records(path, [{"n": 1}], site="t")
+    faults.install_disk(DiskFaultInjector(DiskFaultPlan(eio_p=1.0)))
+    with pytest.raises(OSError) as exc:
+        diskio.append_records(path, [{"n": 2}], site="t")
+    assert exc.value.errno == errno.EIO
+    faults.install_disk(DiskFaultInjector(DiskFaultPlan(torn_p=1.0)))
+    diskio.append_records(path, [{"n": 3}], site="t")  # "succeeds"
+    faults.uninstall_disk()
+    diskio.append_records(path, [{"n": 4}], site="t")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3  # intact, torn, intact
+    assert json.loads(lines[0])["payload"] == {"n": 1}
+    assert json.loads(lines[2])["payload"] == {"n": 4}
+    assert diskio.stats()["write_failures"] == 1
+
+
+def test_concurrent_appenders_never_interleave_records(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    src = os.path.dirname(os.path.dirname(os.path.dirname(diskio.__file__)))
+    writers, records = 4, 40  # more writers than the CI runner's cores
+    script = (
+        "import sys; from repro.resilience import diskio\n"
+        "w = int(sys.argv[2])\n"
+        "for i in range(%d):\n"
+        "    diskio.append_records(sys.argv[1], [{'w': w, 'i': i, "
+        "'pad': 'x' * 4000}], site='t')\n" % records
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, str(path), str(w)],
+                         env=env)
+        for w in range(writers)
+    ]
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0
+    seen = {(p["w"], p["i"]) for p in _journal_payloads(path)}
+    assert seen == {(w, i) for w in range(writers) for i in range(records)}
+
+
+# ---------------------------------------------------------------------
 # orphaned temp sweeping
 # ---------------------------------------------------------------------
 

@@ -142,6 +142,22 @@ def test_lookup_cached_promotes_store_hits(store_root):
     assert second.telemetry.store_counts() == {"hits": 1}  # only once
 
 
+def test_lookup_cached_store_hit_clears_a_recorded_gap(store_root):
+    class KillCell:
+        def call(self, site, key, fn):
+            raise RuntimeError("poisoned cell")
+
+    gapped = make_runner(store=store_root)
+    faults.install(KillCell())
+    assert gapped.cpu_cell("BaseCMOS", "lu") is None
+    assert ("cpu", "BaseCMOS", "lu") in gapped.failures
+    faults.reset()
+
+    make_runner(store=store_root).cpu_run("BaseCMOS", "lu")  # stores it
+    assert gapped.lookup_cached("cpu", ("BaseCMOS", "lu")) is not None
+    assert gapped.failures == {}  # the stored success supersedes the gap
+
+
 def test_runner_reads_store_root_from_env(store_root, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(store_root))
     runner = make_runner()
