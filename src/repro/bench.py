@@ -65,21 +65,6 @@ GUARDED = (
 )
 
 
-def _build_cpu_core(design, profile):
-    """A fresh detailed core for ``design``, mirroring ``simulate_cpu``."""
-    from repro.core.simulate import _prewarm
-    from repro.cpu.core import CoreConfig, OutOfOrderCore
-
-    hierarchy = design.build_hierarchy(mem_intensity=profile.mem_intensity)
-    _prewarm(hierarchy, profile)
-    config = CoreConfig(
-        freq_ghz=design.freq_ghz,
-        resources=design.resources(),
-        steering_enabled=design.dual_speed_alu,
-    )
-    return OutOfOrderCore(config, hierarchy, design.build_units(), name="bench")
-
-
 def _build_cu(design):
     """A fresh compute unit for ``design``, mirroring ``simulate_gpu``."""
     from repro.gpu.cu import ComputeUnit, CUConfig
@@ -116,6 +101,7 @@ def bench_cell(kind: str, config: str, workload: str,
     speedup bought by breaking cycle exactness can never pass.
     """
     from repro.core.configs import cpu_config, gpu_config
+    from repro.core.simulate import build_cpu_core
     from repro.workloads.gpu_profiles import gpu_kernel
     from repro.workloads.profiles import cpu_app
     from repro.workloads.trace_cache import cached_kernel, cached_trace
@@ -124,7 +110,7 @@ def bench_cell(kind: str, config: str, workload: str,
         design = cpu_config(config)
         profile = cpu_app(workload)
         trace = cached_trace(profile, instructions, seed=0)
-        build = lambda: _build_cpu_core(design, profile)
+        build = lambda: build_cpu_core(design, profile)
         run = lambda core: core.run(trace, warmup=warmup)
         work = instructions
     else:
@@ -314,6 +300,7 @@ def bench_obs_overhead(instructions: int, warmup: int,
     """
     from repro import obs
     from repro.core.configs import cpu_config
+    from repro.core.simulate import build_cpu_core
     from repro.obs.metrics import get_registry
     from repro.workloads.profiles import cpu_app
     from repro.workloads.trace_cache import cached_trace
@@ -321,7 +308,7 @@ def bench_obs_overhead(instructions: int, warmup: int,
     design = cpu_config("BaseCMOS")
     profile = cpu_app("blackscholes")
     trace = cached_trace(profile, instructions, seed=0)
-    build = lambda: _build_cpu_core(design, profile)
+    build = lambda: build_cpu_core(design, profile)
     run = lambda core: core.run(trace, warmup=warmup)
 
     was_enabled = obs.enabled()

@@ -51,6 +51,11 @@ class CacheStats:
             registry.probe(f"{prefix}.{name}", partial(getattr, self, name))
 
 
+#: Byte step of :meth:`Cache.access_walk`: one read per 64-byte line, the
+#: granularity of functional warming.  A power of two, like line sizes.
+WALK_STRIDE = 64
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -123,6 +128,85 @@ class Cache:
         stats.misses += 1
         self._fill(set_idx, tag, is_write)
         return False
+
+    def access_walk(self, base: int, size_bytes: int) -> None:
+        """Read ``base, base + WALK_STRIDE, ...`` below ``base + size_bytes``
+        in order: the same final tags, dirty lines and statistics as calling
+        :meth:`access` on each address, computed per set in closed form.
+
+        The walk's distinct lines are an arithmetic progression, so the
+        lines it maps to one set have tags ``t0, t0 + d, ...``.  Each is a
+        miss; the set ends up holding the newest ``assoc`` of them (MRU
+        first) followed by the old lines that still fit, and the old lines
+        pushed out count as evictions (and writebacks if dirty).  A set
+        that already holds one of its walk tags would hit instead, so that
+        set replays its lines through :meth:`access`.
+        """
+        if size_bytes <= 0:
+            return
+        stride = WALK_STRIDE
+        n_addrs = (size_bytes + stride - 1) // stride
+        shift = self._line_shift
+        first = base >> shift
+        step = max(1, stride >> shift)
+        n_lines = (((base + stride * (n_addrs - 1)) >> shift) - first) // step + 1
+        stats = self.stats
+        # With a stride below the line size, the accesses after a line's
+        # first re-read the MRU line: hits that change nothing else.
+        stats.accesses += n_addrs - n_lines
+        stats.hits += n_addrs - n_lines
+        # Walk position j < period is the first visit to its set; the set
+        # is visited again every ``period`` positions, its tag growing by
+        # ``d_tag`` each time.  So the first visits split into at most
+        # three runs of sets sharing a first tag and a visit count: a cut
+        # where the count drops by one (``extra``) and one where the set
+        # index wraps and the tag grows by one (``wrap``).
+        n_sets = self.n_sets
+        period = max(1, n_sets // step)
+        d_tag = max(1, step // n_sets)
+        visits, extra = divmod(n_lines, period)
+        firsts = min(n_lines, period)
+        wrap = -(-(n_sets - (first & self._set_mask)) // step)
+        cuts = sorted({0, firsts} | {c for c in (extra, wrap) if 0 < c < firsts})
+        assoc = self.assoc
+        tag_shift = self._tag_shift
+        all_tags = self._tags
+        all_dirty = self._dirty
+        misses = evictions = writebacks = 0
+        for j0, j1 in zip(cuts, cuts[1:]):
+            line = first + j0 * step
+            set0 = line & self._set_mask
+            t0 = line >> tag_shift
+            count = visits + (j0 < extra)
+            top = t0 + (count - 1) * d_tag
+            walk = range(t0, top + 1, d_tag)
+            newest = walk[::-1][:assoc]
+            kept = assoc - len(newest)
+            filled = 0
+            for set_idx in range(set0, set0 + (j1 - j0) * step, step):
+                tags = all_tags[set_idx]
+                if tags:
+                    if (min(tags) <= top and max(tags) >= t0
+                            and any(t in walk for t in tags)):
+                        for t in walk:
+                            self.access(((t << tag_shift) | set_idx) << shift)
+                        continue
+                    if len(tags) > kept:
+                        dirty = all_dirty[set_idx]
+                        if dirty:
+                            gone = dirty.intersection(tags[kept:])
+                            writebacks += len(gone)
+                            dirty -= gone
+                        evictions += len(tags) - kept
+                        del tags[kept:]
+                tags[:0] = newest
+                filled += 1
+            misses += filled * count
+            evictions += filled * (count - len(newest))
+        stats.accesses += misses
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
 
     def lookup(self, addr: int, is_write: bool = False) -> bool:
         """Like :meth:`access` but does *not* allocate on a miss.

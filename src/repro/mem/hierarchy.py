@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.mem.asym import AsymmetricL1
-from repro.mem.cache import Cache
+from repro.mem.cache import WALK_STRIDE, Cache
 from repro.mem.contention import SharedResourceContention
 
 
@@ -137,19 +137,32 @@ class MemoryHierarchy:
 
         Sampled-simulation methodology (SMARTS-style functional warming):
         real applications run billions of instructions, so their resident
-        regions are cache-warm long before any measured window.  Fills L3
-        and L2 (capacity permitting) and optionally the DL1 for every line
-        of ``[base, base + size_bytes)``.
+        regions are cache-warm long before any measured window.  Reads
+        every 64-byte line of ``[base, base + size_bytes)`` into L3, into
+        L2 if the region fits there, and into the DL1 if ``into_l1``.
+
+        The caches are independent, so each takes the whole walk at once.
+        A plain cache computes its final LRU state in closed form
+        (:meth:`Cache.access_walk`): consecutive lines land in consecutive
+        sets, so each set receives consecutive tags and keeps the newest
+        ``assoc`` of them ahead of its old lines.  A set that already
+        holds one of the walk's lines replays its lines through
+        ``access``, so the state and statistics equal a per-line walk for
+        any call.  An asymmetric DL1 (a few hundred lines at most) takes
+        its lines through ``access``, keeping one copy of its promotion
+        logic.
         """
         if size_bytes <= 0:
             return
-        line = 64
-        for addr in range(base, base + size_bytes, line):
-            self.l3.access(addr)
-            if size_bytes <= self.l2.size_bytes:
-                self.l2.access(addr)
-            if into_l1:
-                self.dl1.access(addr)
+        self.l3.access_walk(base, size_bytes)
+        if size_bytes <= self.l2.size_bytes:
+            self.l2.access_walk(base, size_bytes)
+        if into_l1:
+            if self.has_asymmetric_dl1:
+                for addr in range(base, base + size_bytes, WALK_STRIDE):
+                    self.dl1.access(addr)
+            else:
+                self.dl1.access_walk(base, size_bytes)
 
     def reset_stats(self) -> None:
         """Zero all counters (cache contents are preserved for warm state)."""

@@ -1,11 +1,17 @@
 """Tests for the memory hierarchy and the contention model."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.configs import cpu_config
+from repro.core.simulate import _prewarm
 from repro.mem.asym import AsymmetricL1
 from repro.mem.cache import Cache
 from repro.mem.contention import SharedResourceContention
 from repro.mem.hierarchy import AccessResult, CacheLatencies, MemoryHierarchy
+from repro.workloads.profiles import CPU_APPS, cpu_app
 
 
 def make_hierarchy(**kw):
@@ -139,6 +145,128 @@ class TestPrewarm:
         h = make_hierarchy()
         h.prewarm_region(0x0, 0)
         assert h.l3.resident_lines == 0
+
+
+def reference_prewarm(h, base, size_bytes, into_l1=False):
+    """The per-line walk ``prewarm_region`` must reproduce exactly: every
+    64-byte line of the region through ``access`` in address order."""
+    if size_bytes <= 0:
+        return
+    for addr in range(base, base + size_bytes, 64):
+        h.l3.access(addr)
+        if size_bytes <= h.l2.size_bytes:
+            h.l2.access(addr)
+        if into_l1:
+            h.dl1.access(addr)
+
+
+def cache_state(cache):
+    """Tags (recency order), dirty lines and every counter of a cache."""
+    if isinstance(cache, AsymmetricL1):
+        return {
+            "fast": cache_state(cache.fast),
+            "slow": cache_state(cache.slow),
+            "asym": dataclasses.asdict(cache.stats),
+        }
+    return {
+        "tags": cache._tags,
+        "dirty": cache._dirty,
+        "stats": dataclasses.asdict(cache.stats),
+    }
+
+
+def hierarchy_state(h):
+    return {name: cache_state(getattr(h, name)) for name in ("il1", "dl1", "l2", "l3")}
+
+
+def _pow2(lo, hi):
+    return st.integers(lo, hi).map(lambda e: 1 << e)
+
+
+@st.composite
+def _geometry(draw):
+    """(line_bytes, n_sets, assoc) of one cache: 16-128 B lines, so a
+    64-byte walk may step over lines or re-read them."""
+    return draw(_pow2(4, 7)), draw(_pow2(0, 5)), draw(st.integers(1, 6))
+
+
+@st.composite
+def _prewarm_case(draw):
+    dl1_line, dl1_sets, dl1_assoc = draw(_geometry())
+    asym = draw(st.booleans())
+    if asym:
+        dl1_assoc = max(dl1_assoc, 2)
+    geometries = {"l2": draw(_geometry()), "l3": draw(_geometry())}
+    largest = max(line * sets * assoc for line, sets, assoc in geometries.values())
+    # Bases in a small window, so regions overlap each other and the
+    # pre-populated lines; half are line-aligned.
+    base = st.one_of(
+        st.integers(0, 1 << 14), st.integers(0, 1 << 8).map(lambda b: b * 64)
+    )
+    size = st.one_of(
+        st.just(0), st.integers(1, 63), st.integers(64, max(64, 3 * largest))
+    )
+    regions = draw(st.lists(st.tuples(base, size, st.booleans()), max_size=4))
+    preload = draw(
+        st.lists(st.tuples(st.integers(0, 1 << 15), st.booleans()), max_size=40)
+    )
+
+    def build():
+        if asym:
+            dl1 = AsymmetricL1(dl1_line * dl1_sets * dl1_assoc, dl1_assoc, dl1_line)
+        else:
+            dl1 = Cache("dl1", dl1_line * dl1_sets * dl1_assoc, dl1_assoc, dl1_line)
+        caches = {
+            name: Cache(name, line * sets * assoc, assoc, line)
+            for name, (line, sets, assoc) in geometries.items()
+        }
+        h = MemoryHierarchy(CacheLatencies(), dl1=dl1, prefetch_lines=0, **caches)
+        for addr, is_write in preload:
+            h.dl1.access(addr, is_write)
+            h.l2.access(addr, is_write)
+            h.l3.access(addr, is_write)
+        return h
+
+    return build, regions
+
+
+class TestPrewarmClosedForm:
+    """``prewarm_region`` equals the per-line walk it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_prewarm_case())
+    def test_matches_per_line_walk(self, case):
+        build, regions = case
+        fast, slow = build(), build()
+        assert hierarchy_state(fast) == hierarchy_state(slow)
+        for base, size, into_l1 in regions:
+            fast.prewarm_region(base, size, into_l1=into_l1)
+            reference_prewarm(slow, base, size, into_l1=into_l1)
+            assert hierarchy_state(fast) == hierarchy_state(slow)
+
+    def test_overlapping_region_replays_and_writes_back(self):
+        h = make_hierarchy(l2=Cache("l2", 4 * 1024, 4), l3=Cache("l3", 8 * 1024, 4))
+        ref = make_hierarchy(l2=Cache("l2", 4 * 1024, 4), l3=Cache("l3", 8 * 1024, 4))
+        for hier in (h, ref):
+            hier.l3.access(0x1040, is_write=True)  # dirty, inside the walk
+            hier.l3.access(0x9000, is_write=True)  # dirty, evicted by it
+        h.prewarm_region(0x1000, 16 * 1024)
+        reference_prewarm(ref, 0x1000, 16 * 1024)
+        assert hierarchy_state(h) == hierarchy_state(ref)
+        assert h.l3.stats.hits == 1 and h.l3.stats.writebacks == 2
+
+    @pytest.mark.parametrize("config", ["BaseCMOS", "AdvHet"])
+    @pytest.mark.parametrize("app", sorted(CPU_APPS))
+    def test_every_app_warms_like_the_per_line_walk(self, config, app, monkeypatch):
+        design = cpu_config(config)
+        assert design.asym_dl1 == (config == "AdvHet")
+        profile = cpu_app(app)
+        fast = design.build_hierarchy(mem_intensity=profile.mem_intensity)
+        _prewarm(fast, profile)
+        slow = design.build_hierarchy(mem_intensity=profile.mem_intensity)
+        monkeypatch.setattr(MemoryHierarchy, "prewarm_region", reference_prewarm)
+        _prewarm(slow, profile)
+        assert hierarchy_state(fast) == hierarchy_state(slow)
 
 
 class TestResetStats:

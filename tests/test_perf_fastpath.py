@@ -22,7 +22,7 @@ import pytest
 
 from repro import bench
 from repro.core.configs import cpu_config, gpu_config
-from repro.core.simulate import simulate_cpu, simulate_gpu
+from repro.core.simulate import build_cpu_core, simulate_cpu, simulate_gpu
 from repro.resilience import GuardPolicy, SweepPool
 from repro.resilience import shm as shm_transport
 from repro.resilience.pool import CellTask, PoolAborted
@@ -81,12 +81,12 @@ def test_cpu_skip_counters_and_escape_hatch(monkeypatch):
     trace = cached_trace(profile, 6000, seed=0)
 
     monkeypatch.delenv(HATCH, raising=False)
-    core = bench._build_cpu_core(design, profile)
+    core = build_cpu_core(design, profile)
     fast = core.run(trace, warmup=1500)
     assert core.skipped_cycles > 0 and core.skip_events > 0
 
     monkeypatch.setenv(HATCH, "1")
-    hatch_core = bench._build_cpu_core(design, profile)
+    hatch_core = build_cpu_core(design, profile)
     slow = hatch_core.run(trace, warmup=1500)
     assert hatch_core.skipped_cycles == 0 and hatch_core.skip_events == 0
     assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
